@@ -50,7 +50,12 @@
 #                                   injected parallel plan loses zero
 #                                   branches), so a silently-disarmed
 #                                   certificate or salvage path fails CI
-#                                   rather than just running slow.
+#                                   rather than just running slow.  The
+#                                   churn-replay smoke asserts revisited
+#                                   pools are answered from the search
+#                                   context's plan memo (nonzero
+#                                   ChurnReport.plan_memo_hits), so a
+#                                   silently disarmed memo fails CI.
 #   make profile                    cProfile one planner call (PROFILE_ARGS=...;
 #                                   add --stats to dump the SearchStats
 #                                   counters as JSON next to the profile,

@@ -51,7 +51,8 @@ def test_bench_reconfiguration(benchmark, bench_scale):
 
 def test_bench_churn_replay_smoke(benchmark):
     """`make ci` acceptance bar: a short seeded churn trace must replay with
-    zero dropped events and the incremental context must actually get hits."""
+    zero dropped events, the incremental context must actually get hits,
+    and revisited pools must be answered from its plan memo."""
     job, base, env = churn_setup()
     report = benchmark.pedantic(
         lambda: replay_churn(env, job, base, num_events=120,
@@ -60,6 +61,7 @@ def test_bench_churn_replay_smoke(benchmark):
     assert report.events_dropped == 0
     assert report.cache_hits > 0
     assert report.replans_warm > 0
+    assert report.plan_memo_hits > 0
 
 
 def test_bench_planner_churn_1000_events(benchmark):

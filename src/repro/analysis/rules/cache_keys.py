@@ -15,7 +15,12 @@ The contract, per config field:
    expression.  Recognised key expressions are (a) tuples assigned to a
    name in ``{"key", "signature", "sig", "cache_key"}``, (b) the argument
    list of a ``forward_signature(...)`` call, and (c) the first argument
-   of ``context.forward_layers(...)`` / ``context.budget_bounds(...)``.
+   of ``context.forward_layers(...)`` / ``context.budget_bounds(...)`` and
+   of the plan-result memo's ``context.memoised_plan(...)`` /
+   ``context.memoise_plan(...)``.  The plan memo keys a whole-config
+   ``astuple`` snapshot, which this rule does not resolve field by field:
+   a field waived because it reaches no *artifact* key stays waived, with
+   its waiver naming the snapshot.
    Reaching is resolved through one level of local aliasing
    (``limit = self.config.max_combos_per_stage`` then ``limit`` in the
    key) and through function parameters (``max_mixed`` in
@@ -58,7 +63,8 @@ KEY_SITE_FILES = ("dp_solver.py", "resource_state.py", "search_cache.py",
                   "planner.py")
 KEY_NAMES = {"key", "signature", "sig", "cache_key"}
 KEY_BUILDER_CALLS = {"forward_signature"}
-KEY_CACHE_METHODS = {"forward_layers", "budget_bounds"}
+KEY_CACHE_METHODS = {"forward_layers", "budget_bounds", "memoised_plan",
+                     "memoise_plan"}
 #: Attribute spellings under which a config object is read.
 CONFIG_ATTRS = {"config", "dp_config", "_config"}
 

@@ -391,6 +391,10 @@ class SearchStats:
     #: (``PlannerConfig.availability_aware_floors``); churn replans against
     #: an unchanged pool hit this on every branch.
     availability_floor_hits: int = 0
+    #: Planner calls answered from the search context's plan-result memo
+    #: (``PlannerSearchContext.memoised_plan``): a replan against a pool
+    #: the long-lived context already solved, returned without searching.
+    plan_memo_hits: int = 0
 
     def merge(self, other: "SearchStats") -> None:
         """Accumulate another stats block into this one (parallel driver)."""
@@ -434,6 +438,7 @@ class SearchStats:
                 f"families_skipped={self.families_skipped} "
                 f"fused_combines={self.combine_fused_hits} "
                 f"avail_floor_hits={self.availability_floor_hits} "
+                f"plan_memo_hits={self.plan_memo_hits} "
                 f"branches={self.branches_complete}+"
                 f"{self.branches_incomplete}cut "
                 f"interrupts={self.budget_interrupts}")

@@ -31,7 +31,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from multiprocessing import shared_memory
 
 from repro.core.budget import SearchBudget, SearchBudgetExhausted
@@ -55,7 +55,11 @@ from repro.core.plan import (
     StageConfig,
     StageReplica,
 )
-from repro.core.search_cache import PlannerSearchContext, tp_options_key
+from repro.core.search_cache import (
+    PlannerSearchContext,
+    plan_memo_pool,
+    tp_options_key,
+)
 from repro.core.simulator import SailorSimulator, SimulationEnvironment
 from repro.hardware.nodes import get_node_type
 from repro.hardware.topology import ClusterTopology
@@ -73,19 +77,25 @@ _GAP_BOUND_SLACK = 1.0 - 1e-9
 class PlannerConfig:
     """Configuration of the Sailor planner search."""
 
-    # lint: disable=cache-key -- composite: shapes candidate *enumeration*
-    # only; every cached artifact is keyed by the full (partition, mbs,
+    # lint: disable=cache-key -- composite: shapes candidate *enumeration*;
+    # every per-candidate artifact is keyed by the full (partition, mbs,
     # node type, TP, resources) tuple it describes, so changing the
-    # heuristics reroutes lookups rather than forking cached values.
+    # heuristics reroutes those lookups, and the chosen plan -- a cached
+    # artifact of the plan memo -- folds it in through the memo's
+    # whole-config snapshot (astuple in SailorPlanner.plan).
     heuristics: HeuristicConfig = field(default_factory=HeuristicConfig)
     # lint: disable=cache-key -- composite handed to DPSolver; its leaf
     # fields are linted individually against the solver's keys in
-    # dp_solver.py, and the composite itself is never hashed.
+    # dp_solver.py, and the chosen plan -- a cached artifact of the plan
+    # memo -- folds the whole composite in through the memo's config
+    # snapshot (astuple in SailorPlanner.plan).
     dp_config: DPSolverConfig = field(default_factory=DPSolverConfig)
     #: Stop exploring further data-parallel degrees after this many
     #: consecutive non-improving candidates (H3/H4 early stop).
     # lint: disable=cache-key -- early-stop knob: changes which candidates
-    # are explored, never the value any (partition, mbs, ...) key maps to.
+    # are explored, never the value any (partition, mbs, ...) key maps to;
+    # the chosen plan it can change is cached only by the plan memo, whose
+    # config snapshot (astuple in SailorPlanner.plan) folds it in.
     dp_patience: int = 1
     #: Optional wall-clock limit for one planning call, in seconds.  With
     #: the cooperative cancellation budget threaded through the DP hot
@@ -96,14 +106,16 @@ class PlannerConfig:
     # lint: disable=cache-key -- anytime budget consumed only by
     # SearchBudget; exhaustion raises *before* any cache write, so a
     # truncated solve never stores a partial artifact under an exact key
-    # (pinned by the anytime/churn suites).
+    # (pinned by the anytime/churn suites), and the plan memo stores only
+    # complete results.
     time_limit_s: float | None = None
     #: Optional deterministic node budget: the search halts after this many
     #: cooperative cancellation ticks (DP nodes, engine layers, forward
     #: chunks...).  Gives tests a wall-clock-free way to exercise the
     #: anytime path; each parallel worker counts its own ticks.
     # lint: disable=cache-key -- same contract as time_limit_s: enters the
-    # search only through SearchBudget, which unwinds before cache writes.
+    # search only through SearchBudget, which unwinds before cache writes;
+    # calls with a node budget bypass the plan memo entirely.
     max_search_nodes: int | None = None
     #: Parallel driver only: extra wall-clock grace (beyond ``time_limit_s``)
     #: a branch task may take before its worker is declared wedged and the
@@ -249,8 +261,16 @@ class SailorPlanner:
         the online controller under churn -- reuses partitions, stage
         compute/sync/cost tables, forward layers and budget bounds across
         calls with zero invalidation, and the chosen plan stays identical
-        to a from-scratch solve on the same pool.  The reported
-        ``search_stats`` are always the *delta* this call contributed.
+        to a from-scratch solve on the same pool.  A long-lived context
+        also memoises whole results: a call whose canonical pool,
+        objective and config snapshot match an earlier *complete* call on
+        the same context returns that call's plan and evaluation without
+        searching (``SearchStats.plan_memo_hits``; see the module
+        docstring of :mod:`repro.core.search_cache`).  Calls with
+        ``max_search_nodes`` set bypass the memo, and a cold call
+        (``context=None``) never reaches it.  The reported
+        ``search_stats`` are always the *delta* this call contributed, and
+        ``search_time_s`` the call's own measured time, hit or miss.
         The parallel driver builds per-worker contexts and ignores an
         external one.
         """
@@ -264,6 +284,39 @@ class SailorPlanner:
         # the anytime deadline, which reaches the search only through
         # SearchBudget; neither branches the search directly.
         start = time.perf_counter()
+        memo_key = None
+        if context is None:
+            context = PlannerSearchContext(self.env, job, objective.goal)
+        elif context.job is not job or context.goal is not objective.goal:
+            raise ValueError("search context is bound to a different "
+                             "(job, goal) than this planning call")
+        elif self.config.max_search_nodes is None:
+            memo_key = (plan_memo_pool(topology), objective,
+                        astuple(self.config))
+        stats_before = context.stats.copy()
+
+        result = (None if memo_key is None
+                  else context.memoised_plan(memo_key))
+        if result is None:
+            result = self._search(job, topology, objective, context, start)
+            if memo_key is not None:
+                context.memoise_plan(memo_key, result)
+        return replace(
+            result,
+            # lint: disable=determinism -- reporting only, not plan-affecting.
+            search_time_s=time.perf_counter() - start,
+            search_stats=context.stats.diff(stats_before),
+            incomplete_branches=list(result.incomplete_branches))
+
+    def _search(self, job: TrainingJobSpec, topology: ClusterTopology,
+                objective: Objective, context: PlannerSearchContext,
+                start: float) -> PlannerResult:
+        """The serial branch search behind :meth:`plan`.
+
+        ``start`` anchors the anytime deadline.  The returned result's
+        ``search_time_s`` and ``search_stats`` are placeholders that
+        :meth:`plan` stamps with the call's measured time and stats delta.
+        """
         heuristics = self.config.heuristics
         deadline = (None if self.config.time_limit_s is None
                     else start + self.config.time_limit_s)
@@ -271,12 +324,6 @@ class SailorPlanner:
         consolidated = consolidate_zones(topology, heuristics)
         resources = self._resource_map(consolidated.topology)
         total_nodes = sum(resources.values())
-        if context is None:
-            context = PlannerSearchContext(self.env, job, objective.goal)
-        elif context.job is not job or context.goal is not objective.goal:
-            raise ValueError("search context is bound to a different "
-                             "(job, goal) than this planning call")
-        stats_before = context.stats.copy()
         search_budget = SearchBudget.maybe(
             deadline, self.config.max_search_nodes)
 
@@ -307,12 +354,10 @@ class SailorPlanner:
         return PlannerResult(
             plan=best_plan,
             evaluation=best_eval,
-            # lint: disable=determinism -- reporting only, not plan-affecting.
-            search_time_s=time.perf_counter() - start,
+            search_time_s=0.0,
             planner_name=self.name,
             candidates_evaluated=candidates,
             oom_plans_generated=ooms,
-            search_stats=context.stats.diff(stats_before),
             complete=complete,
             optimality_gap_bound=gap,
             incomplete_branches=incomplete,

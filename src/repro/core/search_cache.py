@@ -42,12 +42,32 @@ stage master combos    ``(partition, mbs, dp, tp_key, resources, goal,
                        combo-config knobs)``
 link class             ``(zone_a, zone_b)``
 node specs / prices    ``node_type``
+plan result (memo)     ``(canonical pool, Objective, PlannerConfig
+                       snapshot)``
 =====================  ====================================================
 
 ``placements`` is the canonical tuple ``((StageOption, count), ...)`` and
 ``resources`` the canonical sorted tuple ``(((zone, node_type), count),
 ...)``; both are hashable by construction.  ``tp_key`` canonicalises the
 per-stage tensor-parallel option dict.
+
+The plan-result memo sits one level above every other cache: it maps a
+whole ``SailorPlanner.plan`` call to its result, so a churn replan
+against a pool this context has already solved returns the stored plan
+without searching.  Its key is the canonical pool of
+:func:`plan_memo_pool` (sorted ``(zone, region, ((node_type, count),
+...))`` entries with positive counts -- the only topology fields the
+search reads), the frozen :class:`~repro.core.objectives.Objective`, and
+a value snapshot (``dataclasses.astuple``) of the planner's whole
+``PlannerConfig``, nested ``HeuristicConfig`` and ``DPSolverConfig``
+included.  Only *complete* results are stored: a deadline-cut answer is
+never stored or served, and calls with ``max_search_nodes`` set bypass
+the memo entirely.  Like every cache here it has no invalidation of its
+own -- prices live in the context, so a price move drops the whole
+context -- and it is a bounded FIFO (the forward layers' 256-entry cap),
+so a long-running controller cannot grow it without limit.  Only callers
+passing a long-lived context reach it; cold calls build a fresh context
+per call and never hit.
 
 The context also owns the :class:`~repro.core.plan.SearchStats` counters
 (nodes explored, memo hits, pruned branches, cache hits/misses, and the
@@ -77,7 +97,9 @@ from repro.hardware.nodes import get_node_type
 from repro.models.partition import LayerPartition, uniform_partition
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (environment -> plan)
+    from repro.core.plan import PlannerResult
     from repro.core.simulator.environment import SimulationEnvironment
+    from repro.hardware.topology import ClusterTopology
     from repro.models.spec import TrainingJobSpec
 
 
@@ -151,6 +173,25 @@ def tp_options_key(tp_options: dict[str, list[int]]) -> tuple:
     """Hashable canonical form of a per-stage TP-option dict."""
     return tuple(sorted((node_type, tuple(degrees))
                         for node_type, degrees in tp_options.items()))
+
+
+def plan_memo_pool(topology: "ClusterTopology") -> tuple:
+    """Canonical pool of a topology, as the plan-result memo keys it.
+
+    Sorted ``(zone, region, ((node_type, count), ...))`` entries over the
+    positive counts only: ``nodes`` and ``zone_to_region`` are the only
+    topology fields the search reads (through ``consolidate_zones`` and
+    the planner's resource map), and both ignore zero counts and dict
+    order.
+    """
+    pool = []
+    for zone, per_type in topology.nodes.items():
+        counts = tuple(sorted((node_type, count)
+                              for node_type, count in per_type.items()
+                              if count > 0))
+        if counts:
+            pool.append((zone, topology.region_of(zone), counts))
+    return tuple(sorted(pool))
 
 
 class PlannerSearchContext:
@@ -227,6 +268,13 @@ class PlannerSearchContext:
         #: observable behind the churn-replans-reuse-them-warm claim.
         self._availability_floors: dict[tuple, object] = {}
         self._availability_floors_max = 256
+        #: Plan-result memo (see the module docstring): complete
+        #: ``PlannerResult``s keyed by (canonical pool, objective, config
+        #: snapshot), read and written only by ``SailorPlanner.plan``.
+        #: Hits are counted on ``stats.plan_memo_hits``.  Bounded FIFO
+        #: like the forward layers.
+        self._plan_memo: dict[tuple, "PlannerResult"] = {}
+        self._plan_memo_max = 256
         self._link_class: dict[tuple[str, str], LinkClass] = {}
         self._region: dict[str, str] = {}
         self._gpus_per_node: dict[str, int] = {}
@@ -494,6 +542,32 @@ class PlannerSearchContext:
                 next(iter(self._availability_floors)))
         self._availability_floors[signature] = tables
         return tables
+
+    # -- whole-call plan memo ---------------------------------------------------
+
+    def memoised_plan(self, key: tuple) -> "PlannerResult | None":
+        """The stored complete result of an earlier call under ``key``.
+
+        Hits are counted on ``stats.plan_memo_hits``.  The stored result
+        is shared, not copied: callers build a new ``PlannerResult``
+        around its plan and evaluation, which nothing mutates in place.
+        """
+        stored = self._plan_memo.get(key)
+        if stored is not None:
+            self.stats.plan_memo_hits += 1
+        return stored
+
+    def memoise_plan(self, key: tuple, result: "PlannerResult") -> None:
+        """Store a planner result if it is complete (bounded FIFO).
+
+        A deadline-cut result is never stored: a later call on the same
+        pool searches again rather than inherit a truncated answer.
+        """
+        if not result.complete:
+            return
+        if len(self._plan_memo) >= self._plan_memo_max:
+            self._plan_memo.pop(next(iter(self._plan_memo)))
+        self._plan_memo[key] = result
 
     # -- combo enumeration ------------------------------------------------------
 

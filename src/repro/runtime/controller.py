@@ -23,7 +23,8 @@ of increasing disruption:
    Replans are *incremental*: every solve runs inside one long-lived
    :class:`~repro.core.search_cache.PlannerSearchContext`, so successive
    pools reuse forward layers, budget bounds and stage tables (the
-   cross-time analogue of the planner's cross-candidate sharing).
+   cross-time analogue of the planner's cross-candidate sharing), and a
+   pool solved before is answered from the context's plan memo.
 4. ``PARK`` -- nothing fits: checkpoint-park the job (stop workers, keep
    state) and retry with exponential backoff as capacity returns.
 
@@ -125,6 +126,8 @@ class ReplanDecision:
     deadline_missed: bool = False
     layer_cache_hits: int = 0
     cache_hits: int = 0
+    #: 1 when the solve was answered from the search context's plan memo.
+    plan_memo_hits: int = 0
 
 
 @dataclass
@@ -194,7 +197,11 @@ class TrainingController:
         search context, so forward layers, budget bounds and stage tables
         survive across successive pools; the chosen plan is identical to a
         from-scratch solve on the same pool (the context is
-        topology-independent).
+        topology-independent).  A pool the context has already solved to
+        completion -- a flap, a reverted preemption, a recovered zone --
+        is answered from the context's plan memo without searching
+        (``SearchStats.plan_memo_hits``).  A price move drops the context
+        (:meth:`invalidate_price_caches`), memo included.
         """
         if self.policy.incremental and isinstance(self.planner, SailorPlanner):
             if self._search_context is None:
@@ -579,7 +586,8 @@ class TrainingController:
             replan_latency_s=result.search_time_s if result is not None else 0.0,
             deadline_missed=deadline_missed,
             layer_cache_hits=stats.layer_cache_hits,
-            cache_hits=stats.cache_hits))
+            cache_hits=stats.cache_hits,
+            plan_memo_hits=stats.plan_memo_hits))
 
     def _cleanup_workers(self, time_s: float) -> None:
         for worker in self.workers:

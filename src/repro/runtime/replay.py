@@ -12,8 +12,9 @@ complete copy of the model state).
 
 The resulting :class:`ChurnReport` carries zero-drop accounting
 (``events_total == events_applied``), the per-decision degradation-tier
-tally, replan latencies (p50/p99), how many replans were answered *warm*
-from the controller's long-lived search context, and the plan signature
+tally, planner-call latencies (p50/p99), how many replans were answered
+*warm* from the controller's long-lived search context (plan memo hits
+included), and the plan signature
 history (serialized plans) that the determinism tests compare byte for
 byte.  Replays with a deadline-free policy are fully deterministic: same
 trace, same decisions, same plans, same iteration counts.
@@ -62,8 +63,10 @@ class ChurnReport:
     events_applied: int = 0
     #: ``price_move`` events applied to the price catalog during the run.
     price_moves: int = 0
-    #: Planner solves, and the subset answered warm (the solve's stats
-    #: delta shows reuse out of the controller's long-lived context).
+    #: Planner calls (shrink-in-place decisions run no search and are not
+    #: counted), and the subset answered warm: the call's stats delta
+    #: shows reuse out of the controller's long-lived context, a plan
+    #: memo hit included.
     replans: int = 0
     replans_warm: int = 0
     #: Degradation-tier tally over all decisions.
@@ -74,11 +77,12 @@ class ChurnReport:
     retries: int = 0
     deadline_fallbacks: int = 0
     switches: int = 0
-    #: Latency of every planner solve, in decision order.
+    #: Latency of every planner call, in decision order.
     replan_latencies_s: list[float] = field(default_factory=list)
-    #: Incremental-reuse counters summed over all solves.
+    #: Incremental-reuse counters summed over all planner calls.
     layer_cache_hits: int = 0
     cache_hits: int = 0
+    plan_memo_hits: int = 0
     #: Training outcome.
     iterations_completed: int = 0
     iterations_lost_to_rollback: int = 0
@@ -163,7 +167,8 @@ class ChurnReport:
             f"p99={self.p99_replan_latency_s * 1e3:.1f} ms "
             f"({self.plans_per_s:.1f} plans/s)",
             f"incremental reuse: {self.layer_cache_hits} layer hits, "
-            f"{self.cache_hits} cache hits",
+            f"{self.cache_hits} cache hits, "
+            f"{self.plan_memo_hits} plan memo hits",
             f"training: {self.iterations_completed} iterations "
             f"({self.iterations_lost_to_rollback} lost to rollback), "
             f"{self.training_time_s:.0f}s training / "
@@ -376,13 +381,18 @@ class ChurnReplayer:
     def _tally_decisions(report: ChurnReport, decisions: list) -> None:
         """Fold the controller's decision log into the report counters."""
         for decision in decisions:
-            if decision.replan_latency_s > 0:
+            # Planner calls only: a shrink-in-place decision reports its
+            # own latency but runs no search.
+            if (decision.replan_latency_s > 0
+                    and decision.tier is not DegradationTier.SHRINK_DP):
                 report.replans += 1
                 report.replan_latencies_s.append(decision.replan_latency_s)
-                if decision.layer_cache_hits > 0 or decision.cache_hits > 0:
+                if (decision.layer_cache_hits > 0 or decision.cache_hits > 0
+                        or decision.plan_memo_hits > 0):
                     report.replans_warm += 1
                 report.layer_cache_hits += decision.layer_cache_hits
                 report.cache_hits += decision.cache_hits
+                report.plan_memo_hits += decision.plan_memo_hits
             if decision.tier is DegradationTier.SHRINK_DP:
                 report.shrinks += 1
             elif decision.tier is DegradationTier.PARK:

@@ -12,11 +12,12 @@ from repro.hardware.topology import ClusterTopology
 from repro.runtime.checkpoint import CheckpointConfig
 from repro.runtime.controller import (
     DegradationTier,
+    ReplanDecision,
     ReplanPolicy,
     TrainingController,
 )
 from repro.runtime.faults import FaultEvent, FaultScenarioGenerator, FaultTrace
-from repro.runtime.replay import ChurnReplayer
+from repro.runtime.replay import ChurnReplayer, ChurnReport
 
 POOLS = {("us-central1-a", "a2-highgpu-4g"): 4,
          ("us-central1-a", "n1-standard-v100-4"): 4}
@@ -88,7 +89,9 @@ def test_incremental_replans_are_warm(opt_env, opt_job, mixed_base):
 
 def test_incremental_replans_match_from_scratch_solves(opt_env, opt_job,
                                                        mixed_base):
-    """Plans out of the long-lived context are byte-identical to cold solves."""
+    """Plans out of the long-lived context -- plan memo hits included -- are
+    byte-identical to cold solves.  The pool sequence is walked forward and
+    then back, so every pool is revisited at least once."""
     trace = FaultScenarioGenerator(seed=2).churn_trace(
         POOLS, duration_s=3600.0, num_events=14)
     availability = trace.to_availability_trace()
@@ -96,19 +99,69 @@ def test_incremental_replans_match_from_scratch_solves(opt_env, opt_job,
     controller = TrainingController(env=opt_env, job=opt_job,
                                     objective=objective)
     fresh = SailorPlanner(opt_env)
+    times = [time_s for time_s, _ in trace.grouped_events()]
 
     compared = 0
-    for time_s, _ in trace.grouped_events():
+    memo_hits = 0
+    for time_s in times + times[::-1]:
         topology = availability.topology_at(time_s, base=mixed_base)
         warm_result = controller.replan(topology)
         cold_result = fresh.plan(opt_job, topology, objective)
+        memo_hits += warm_result.search_stats.plan_memo_hits
         assert warm_result.found == cold_result.found
         if warm_result.found:
             assert (plan_to_json(warm_result.plan)
                     == plan_to_json(cold_result.plan))
+            assert warm_result.evaluation == cold_result.evaluation
             compared += 1
     assert compared > 0
+    assert memo_hits >= len(times)
+    assert controller.search_stats.plan_memo_hits == memo_hits
     assert controller.search_stats.cache_hits > 0
+
+
+def test_price_change_starts_from_an_empty_plan_memo(opt_env, opt_job,
+                                                      mixed_base):
+    controller = TrainingController(env=opt_env, job=opt_job,
+                                    policy=ReplanPolicy(
+                                        deterministic_timing=True))
+    controller.start(mixed_base)
+    assert controller.replan(mixed_base).search_stats.plan_memo_hits == 1
+    controller.handle_price_change(mixed_base, time_s=60.0)
+    decision = controller.decisions[-1]
+    assert decision.trigger == "price_move"
+    assert decision.plan_memo_hits == 0
+    assert decision.replan_latency_s > 0
+    # The rebuilt context memoised the post-move solve afresh.
+    assert controller.replan(mixed_base).search_stats.plan_memo_hits == 1
+
+
+def test_report_counts_planner_calls_and_memo_hits_as_warm():
+    """Shrink-in-place decisions run no search, so they are not replans;
+    a memo hit touches no other cache but is still a warm replan."""
+    decisions = [
+        ReplanDecision(time_s=0.0, trigger="start",
+                       tier=DegradationTier.FULL_REPLAN, action="deployed",
+                       replan_latency_s=0.2),
+        ReplanDecision(time_s=1.0, trigger="preemption",
+                       tier=DegradationTier.SHRINK_DP, action="shrunk",
+                       replan_latency_s=0.01),
+        ReplanDecision(time_s=2.0, trigger="recovery",
+                       tier=DegradationTier.CONTINUE, action="kept",
+                       replan_latency_s=0.001, plan_memo_hits=1),
+        ReplanDecision(time_s=3.0, trigger="spot_loss",
+                       tier=DegradationTier.FULL_REPLAN, action="replanned",
+                       replan_latency_s=0.1, cache_hits=5),
+    ]
+    report = ChurnReport()
+    ChurnReplayer._tally_decisions(report, decisions)
+    assert report.replans == 3
+    assert report.replan_latencies_s == [0.2, 0.001, 0.1]
+    assert report.shrinks == 1
+    assert report.replans_warm == 2
+    assert report.plan_memo_hits == 1
+    assert report.cache_hits == 5
+    assert "1 plan memo hits" in report.describe()
 
 
 # -- graceful degradation -----------------------------------------------------

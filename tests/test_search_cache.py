@@ -10,13 +10,17 @@ from repro.core.heuristics import (
     min_tp_per_stage,
     tp_options_for_stage,
 )
-from repro.core.objectives import OptimizationGoal
-from repro.core.plan import SearchStats
+from repro.core.objectives import Objective, OptimizationGoal
+from repro.core.plan import PlannerResult, SearchStats
+from repro.core.planner import PlannerConfig, SailorPlanner
 from repro.core.search_cache import (
     PlannerSearchContext,
     StageAssignment,
+    plan_memo_pool,
     tp_options_key,
 )
+from repro.core.serialization import plan_to_json
+from repro.hardware.topology import ClusterTopology
 from repro.models.partition import uniform_partition
 
 
@@ -238,3 +242,140 @@ def test_context_stats_shared_with_solver(opt_env, opt_job):
     solver.solve(dict(RESOURCES))
     assert solver.nodes_explored == context.stats.nodes_explored
     assert context.stats.nodes_explored > 0
+
+
+# -- plan-result memo ----------------------------------------------------------
+
+A100 = "a2-highgpu-4g"
+V100 = "n1-standard-v100-4"
+
+
+def _plan_warm(planner, job, topology, context, objective=None):
+    return planner.plan(job, topology, objective or Objective.max_throughput(),
+                        context=context)
+
+
+def _same_plan(result, other):
+    assert result.found == other.found
+    if result.found:
+        assert plan_to_json(result.plan) == plan_to_json(other.plan)
+
+
+def test_plan_memo_serves_the_same_pool(opt_env, opt_job, mixed_topology):
+    planner = SailorPlanner(opt_env)
+    context = PlannerSearchContext(opt_env, opt_job)
+    first = _plan_warm(planner, opt_job, mixed_topology, context)
+    assert first.complete and first.search_stats.plan_memo_hits == 0
+    nodes_before = context.stats.nodes_explored
+
+    hit = _plan_warm(planner, opt_job, mixed_topology, context)
+    # The stored plan and evaluation are shared, not re-searched.
+    assert hit.plan is first.plan and hit.evaluation is first.evaluation
+    assert hit.complete and hit.optimality_gap_bound == 0.0
+    assert hit.incomplete_branches == []
+    assert hit.candidates_evaluated == first.candidates_evaluated
+    assert hit.oom_plans_generated == first.oom_plans_generated
+    assert hit.search_time_s > 0.0
+    # The call's stats delta is the hit counter alone.
+    assert hit.search_stats == SearchStats(plan_memo_hits=1)
+    assert context.stats.nodes_explored == nodes_before
+    _same_plan(hit, planner.plan(opt_job, mixed_topology))
+
+
+def test_plan_memo_ignores_zero_counts_and_dict_order(opt_env, opt_job):
+    planner = SailorPlanner(opt_env)
+    context = PlannerSearchContext(opt_env, opt_job)
+    base = ClusterTopology(nodes={"us-central1-a": {A100: 2, V100: 2},
+                                  "us-central1-b": {A100: 1}})
+    first = _plan_warm(planner, opt_job, base, context)
+    variants = [
+        ClusterTopology(nodes={"us-central1-b": {A100: 1, V100: 0},
+                               "us-central1-a": {V100: 2, A100: 2}}),
+        ClusterTopology(nodes={"us-central1-a": {A100: 2, V100: 2},
+                               "us-central1-b": {A100: 1},
+                               "us-central1-c": {V100: 0}}),
+    ]
+    for topology in variants:
+        assert plan_memo_pool(topology) == plan_memo_pool(base)
+        hit = _plan_warm(planner, opt_job, topology, context)
+        assert hit.search_stats.plan_memo_hits == 1
+        assert hit.plan is first.plan
+        # The memo's answer is what a cold solve of the variant returns.
+        _same_plan(hit, planner.plan(opt_job, topology))
+
+
+def test_plan_memo_misses_on_anything_the_search_reads(opt_env, opt_job):
+    planner = SailorPlanner(opt_env)
+    context = PlannerSearchContext(opt_env, opt_job)
+    base = ClusterTopology(nodes={"us-central1-a": {A100: 2, V100: 2},
+                                  "us-central1-b": {A100: 2}})
+    first = _plan_warm(planner, opt_job, base, context)
+    assert first.found
+    budget = first.evaluation.cost_per_iteration_usd
+
+    moved = ClusterTopology(
+        nodes={"us-central1-a": {A100: 2, V100: 2},
+               "us-central1-b": {A100: 2}},
+        zone_to_region={"us-central1-a": "us-central1",
+                        "us-central1-b": "us-west1"})
+    misses = [
+        (planner, base.with_nodes("us-central1-a", V100, 1), None),
+        (planner, moved, None),
+        (planner, base, Objective.max_throughput(
+            max_cost_per_iteration_usd=budget * 0.9)),
+        (planner, base, Objective.max_throughput(
+            max_cost_per_iteration_usd=budget * 0.8)),
+        (SailorPlanner(opt_env, PlannerConfig(dp_patience=3)), base, None),
+    ]
+    for miss_planner, topology, objective in misses:
+        result = _plan_warm(miss_planner, opt_job, topology, context,
+                            objective)
+        assert result.search_stats.plan_memo_hits == 0
+        _same_plan(result, miss_planner.plan(
+            opt_job, topology, objective or Objective.max_throughput()))
+    assert context.stats.plan_memo_hits == 0
+    # Every one of them is stored under its own key and now hits.
+    for miss_planner, topology, objective in misses:
+        result = _plan_warm(miss_planner, opt_job, topology, context,
+                            objective)
+        assert result.search_stats.plan_memo_hits == 1
+
+
+def test_plan_memo_never_stores_or_serves_truncated_results(
+        opt_env, opt_job, mixed_topology):
+    context = PlannerSearchContext(opt_env, opt_job)
+    cut = SailorPlanner(opt_env, PlannerConfig(time_limit_s=1e-9))
+    for _ in range(2):
+        result = _plan_warm(cut, opt_job, mixed_topology, context)
+        assert not result.complete
+        assert result.search_stats.plan_memo_hits == 0
+    assert context._plan_memo == {}
+
+    # A node budget bypasses the memo even when the search completes.
+    budgeted = SailorPlanner(opt_env, PlannerConfig(max_search_nodes=10**9))
+    for _ in range(2):
+        result = _plan_warm(budgeted, opt_job, mixed_topology, context)
+        assert result.complete
+        assert result.search_stats.plan_memo_hits == 0
+    assert context._plan_memo == {}
+
+    context.memoise_plan(("pool",), PlannerResult(
+        plan=None, evaluation=None, search_time_s=0.0, complete=False))
+    assert context._plan_memo == {}
+
+
+def test_plan_memo_is_bounded(opt_env, opt_job):
+    """The FIFO cap evicts the oldest pool, never the newest."""
+    planner = SailorPlanner(opt_env)
+    context = PlannerSearchContext(opt_env, opt_job)
+    context._plan_memo_max = 2
+    pools = [ClusterTopology.homogeneous(A100, n) for n in (1, 2, 3)]
+    for topology in pools:
+        _plan_warm(planner, opt_job, topology, context)
+    assert len(context._plan_memo) == 2
+    hits = [_plan_warm(planner, opt_job, topology, context)
+            .search_stats.plan_memo_hits for topology in pools[1:]]
+    assert hits == [1, 1]
+    evicted = _plan_warm(planner, opt_job, pools[0], context)
+    assert evicted.search_stats.plan_memo_hits == 0
+    assert len(context._plan_memo) == 2
