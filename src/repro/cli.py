@@ -205,6 +205,17 @@ def cmd_plan(args: argparse.Namespace) -> int:
         model = get_model(args.model)
     except KeyError as exc:
         raise SystemExit(str(exc)) from None
+    # Validate the objective before profiling the environment, so a bad
+    # cap fails fast with a one-line message instead of a traceback.
+    try:
+        if args.objective == "throughput":
+            objective = Objective.max_throughput(
+                max_cost_per_iteration_usd=args.max_cost)
+        else:
+            objective = Objective.min_cost(
+                min_throughput_iters_per_s=args.min_throughput)
+    except ValueError as exc:
+        raise SystemExit(f"invalid objective: {exc}") from None
     job = TrainingJobSpec(model=model, global_batch_size=args.global_batch_size,
                           sequence_length=args.sequence_length)
     topology = parse_nodes(args.nodes)
@@ -212,13 +223,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
     print(topology.describe())
 
     env = build_environment(job, topology)
-    if args.objective == "throughput":
-        objective = Objective.max_throughput(
-            max_cost_per_iteration_usd=args.max_cost)
-    else:
-        objective = Objective.min_cost(
-            min_throughput_iters_per_s=args.min_throughput)
-
     config = PlannerConfig(time_limit_s=args.time_limit)
     if args.workers > 1:
         planner = ParallelPlanner(env, config=config, max_workers=args.workers)

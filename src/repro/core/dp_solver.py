@@ -116,7 +116,6 @@ from repro.core.budget import SearchBudget, SearchBudgetExhausted
 from repro.core.hotpath import hot_path
 from repro.core.objectives import OptimizationGoal
 from repro.core.resource_state import (
-    SHARED_ARGMIN_MAX_DENSITY,
     BudgetBoundTables,
     ResourceStateCodec,
     ResourceStateEngine,
@@ -265,41 +264,16 @@ class DPSolverConfig:
     #: iteration-1-dominance + iteration-2-re-probe collapsed; off only
     #: for equivalence testing.
     engine_seeded_straggler: bool = True
-    #: Share the mbs-independent parts of the budget search's backward
-    #: machinery across every candidate with the same forward layers:
-    #: per-row combo columns/child rows (``ForwardLayers.row_cols``),
-    #: whole-layer dominance tables (``engine.budget_tables``) and the
-    #: context-cached bound tables.  (Sharing the *full* child-gather
-    #: matrices of ``run_backward`` itself was measured slower at the
-    #: 1024-GPU point -- retained intermediates beat the saved ops; see
-    #: ``ForwardLayers._row_cols`` -- so those stay transient.)
-    #: Bit-identical values either way; off only for equivalence testing.
-    shared_backward: bool = True
     #: Resolve certified binding rows inside ``_solve_budget_batched``
     #: (per-combo straggler-bound certificates at the assumed and
     #: re-tested budgets) instead of falling back to the scalar recursion.
     #: Off only for equivalence testing.
     batched_layer_resolve: bool = True
-    #: Score backward layers through the CSR skeleton of valid (state,
-    #: combo) entries cached on the shared forward layers
-    #: (``ForwardLayers.backward_csr``) -- at most the truncation limit of
-    #: entries per state instead of the dense (rows, combos) product, with
-    #: a segmented first-min replacing the dense argmin.  Bit-identical
-    #: values and tie-breaks (segment order is master ranking order); the
-    #: dense path stays as the equivalence reference.
-    shared_backward_argmin: bool = True
-    #: Density ceiling for routing a layer through the CSR kernel (valid
-    #: entries / dense size; ``resource_state.SHARED_ARGMIN_MAX_DENSITY``).
-    #: Dense layers are faster through the broadcast argmin, so the CSR
-    #: route only engages once the truncation masks make a layer sparse;
-    #: 1.0 forces the shared kernel everywhere (the equivalence suites do).
-    #: A pure latency policy -- both routes are bit-identical.
-    shared_backward_density: float = SHARED_ARGMIN_MAX_DENSITY
     #: Run the backward elementwise combine through the fused workspace
     #: kernel: ``np.take`` gathers into preallocated per-footprint scratch
     #: buffers hung off the shared forward layers plus a cached-signature
     #: ``np.einsum`` for the cost product, so a big layer allocates no
-    #: (rows, combos)- or nnz-sized temporaries at all
+    #: (rows, combos)-sized temporaries at all
     #: (``SearchStats.combine_fused_hits`` counts the layers served).
     #: Bit-identical by construction -- same operand order and the same
     #: IEEE op chain as the reference blocks, which stay in place both as
@@ -619,11 +593,8 @@ class DPSolver:
             self._codec, tables, forward, self.num_microbatches,
             self.goal is OptimizationGoal.MIN_COST,
             search_budget=self.search_budget,
-            shared_argmin=self.config.shared_backward_argmin,
-            shared_argmin_max_density=self.config.shared_backward_density,
             fused_combine=self.config.fused_combine)
         engine.run_backward()
-        self.stats.backward_shared_hits += engine.shared_skeleton_hits
         self.stats.combine_fused_hits += engine.combine_fused_hits
         return engine
 
@@ -962,13 +933,13 @@ class DPSolver:
     def _engine_bounds(self) -> BudgetBoundTables:
         """Bound tables over the engine layers, built on first budget use.
 
-        One batched backward pass (``compute_budget_bounds``); shared
-        across candidates through the search context when the backward
-        sharing toggle is on -- the key captures everything the pass reads
-        (forward signature, microbatch count, per-stage compute/cost/sync
-        scalars -- sync entered the pass with the folded sync floor, and it
-        varies with the data-parallel degree, so omitting it would alias
-        candidates), so only bit-identical tables are ever reused.
+        One batched backward pass (``compute_budget_bounds``), shared
+        across candidates through the search context -- the key captures
+        everything the pass reads (forward signature, microbatch count,
+        per-stage compute/cost/sync scalars -- sync entered the pass with
+        the folded sync floor, and it varies with the data-parallel
+        degree, so omitting it would alias candidates), so only
+        bit-identical tables are ever reused.
         """
         bounds = self._bounds
         if bounds is None:
@@ -980,14 +951,11 @@ class DPSolver:
                 return compute_budget_bounds(
                     forward, tables, nb, search_budget=self.search_budget)
 
-            if self.config.shared_backward:
-                signature = (self._forward_sig, nb,
-                             tuple(t.compute.tobytes() for t in tables),
-                             tuple(t.rate.tobytes() for t in tables),
-                             tuple(t.sync.tobytes() for t in tables))
-                bounds = self.context.budget_bounds(signature, build)
-            else:
-                bounds = build()
+            signature = (self._forward_sig, nb,
+                         tuple(t.compute.tobytes() for t in tables),
+                         tuple(t.rate.tobytes() for t in tables),
+                         tuple(t.sync.tobytes() for t in tables))
+            bounds = self.context.budget_bounds(signature, build)
             self._bounds = bounds
         return bounds
 
@@ -1356,35 +1324,21 @@ class DPSolver:
             return cached
         engine = self._engine
         table = self._tables[stage_index]
-        if self.config.shared_backward:
-            # The column/child indices are forward-only, so the (possibly
-            # cross-candidate) forward layers cache them once for every
-            # candidate; only the scalar gathers below are per candidate.
-            cols, child = engine.forward.row_cols(stage_index, row, is_last)
-        elif is_last:
-            cols = engine.forward.last_sel[row].nonzero()[0]
-            child = None
-        else:
-            crow = engine.forward.child_row[stage_index][row]
-            cols = (crow >= 0).nonzero()[0]
-            child = crow[cols]
+        # The column/child indices are forward-only, so the (possibly
+        # cross-candidate) forward layers cache them once for every
+        # candidate; only the scalar gathers below are per candidate.
+        cols, child = engine.forward.row_cols(stage_index, row, is_last)
         if is_last:
             entry = (cols.tolist(), table.compute[cols].tolist(),
                      table.sync[cols].tolist(), table.rate[cols].tolist(),
                      None, None, None, None, None, None, None, None)
         else:
             next_stage = stage_index + 1
-            if self.config.shared_backward:
-                # Whole-layer dominance tables: one vectorized pass per
-                # layer, per-element bit-identical to the per-row gather.
-                cost_vec, feas_vec = engine.budget_tables(next_stage)
-                cost_unc = cost_vec[child]
-                feasible = feas_vec[child]
-            else:
-                rate_gather = engine.rate[next_stage][child]
-                # Elementwise product == engine.projected_cost per row.
-                cost_unc = rate_gather * engine.time_value[next_stage][child]
-                feasible = np.isfinite(engine.value[next_stage][child])
+            # Whole-layer dominance tables: one vectorized pass per layer,
+            # per-element bit-identical to engine.projected_cost per row.
+            cost_vec, feas_vec = engine.budget_tables(next_stage)
+            cost_unc = cost_vec[child]
+            feasible = feas_vec[child]
             clb = None
             if self._certs_active and self.config.batched_layer_resolve:
                 clb = (self._engine_bounds().cost_lb[next_stage][child]

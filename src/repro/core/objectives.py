@@ -41,11 +41,13 @@ class Constraint:
     max_gpus: int | None = None
 
     def __post_init__(self) -> None:
+        # ``not > 0`` rather than ``<= 0`` so NaN is rejected too: every
+        # comparison with NaN is False, so a NaN cap would never bind.
         if (self.max_cost_per_iteration_usd is not None
-                and self.max_cost_per_iteration_usd <= 0):
+                and not self.max_cost_per_iteration_usd > 0):
             raise ValueError("max_cost_per_iteration_usd must be positive")
         if (self.min_throughput_iters_per_s is not None
-                and self.min_throughput_iters_per_s <= 0):
+                and not self.min_throughput_iters_per_s > 0):
             raise ValueError("min_throughput_iters_per_s must be positive")
         if self.max_gpus is not None and self.max_gpus < 1:
             raise ValueError("max_gpus must be >= 1")

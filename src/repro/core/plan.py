@@ -367,10 +367,6 @@ class SearchStats:
     #: Cooperative cancellations observed: ``SearchBudgetExhausted`` raised
     #: inside a DP hot loop and salvaged by the branch search.
     budget_interrupts: int = 0
-    #: Backward layers scored through a CSR skeleton reused from the shared
-    #: forward pass (``ForwardLayers.backward_csr``): each hit saves the
-    #: per-candidate dense (rows, combos) mask/gather rebuild.
-    backward_shared_hits: int = 0
     #: Candidates dropped by the bound-ordered tail cut before their DP
     #: solve ran: an admissible evaluation floor proved every remaining
     #: candidate of the branch cannot beat the incumbent, so none of them
@@ -433,7 +429,6 @@ class SearchStats:
                 f"layer_cache_hits={self.layer_cache_hits} "
                 f"suffix_iters={self.suffix_iterations} "
                 f"suffix_certified={self.suffix_certified} "
-                f"shared_backward={self.backward_shared_hits} "
                 f"killed_unevaluated={self.candidates_killed_unevaluated} "
                 f"families_skipped={self.families_skipped} "
                 f"fused_combines={self.combine_fused_hits} "

@@ -15,6 +15,13 @@ from repro.models.catalog import get_model
 from repro.models.spec import TrainingJobSpec
 
 
+def pytest_configure(config: pytest.Config) -> None:
+    """Turn numpy's RuntimeWarnings (``inf * 0``, ``0 / 0``, overflow) into
+    errors: a NaN or inf that slips through a kernel must fail the suite,
+    not scroll past as a warning."""
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
+
+
 @pytest.fixture(scope="session")
 def opt_job() -> TrainingJobSpec:
     """OPT-350M with a small global batch (fast simulations)."""

@@ -258,8 +258,6 @@ def test_production_kernels_are_marked_hot():
     assert getattr(compute_forward_layers, "__hot_path__", False)
     assert getattr(ResourceStateEngine.run_backward, "__hot_path__", False)
     assert getattr(ResourceStateEngine._solve_layer, "__hot_path__", False)
-    assert getattr(ResourceStateEngine._solve_layer_shared,
-                   "__hot_path__", False)
     assert getattr(DPSolver._solve_budget_batched, "__hot_path__", False)
 
 

@@ -98,6 +98,27 @@ def test_unknown_model_rejected():
               "--nodes", "us-central1-a:a2-highgpu-4g:1"])
 
 
+@pytest.mark.parametrize("flag,objective", [("--max-cost", "throughput"),
+                                            ("--min-throughput", "cost")])
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+def test_invalid_objective_cap_rejected(monkeypatch, flag, objective, value):
+    """A non-positive or NaN cap exits with a one-line message before the
+    environment is profiled."""
+    import repro.cli as cli
+
+    def no_profiling(*args, **kwargs):
+        raise AssertionError("environment built for an invalid objective")
+
+    monkeypatch.setattr(cli, "build_environment", no_profiling)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["plan", "--model", "OPT-350M",
+              "--nodes", "us-central1-a:a2-highgpu-4g:1",
+              "--objective", objective, flag, value])
+    message = str(excinfo.value.code)
+    assert message.startswith("invalid objective:")
+    assert "\n" not in message
+
+
 def test_experiment_subcommand_runs(capsys):
     assert main(["experiment", "figure2", "--scale", "tiny"]) == 0
     out = capsys.readouterr().out

@@ -639,8 +639,7 @@ def test_certificates_match_uncertified_recursion(opt_env, opt_job, pp, dp,
             engine_min_states=engine_min,
             engine_min_states_budget=engine_min,
             enable_straggler_bound=False,
-            engine_seeded_straggler=False, batched_layer_resolve=False,
-            shared_backward=False)
+            engine_seeded_straggler=False, batched_layer_resolve=False)
         plain.engine_min_states = engine_min
         plain.engine_min_states_budget = engine_min
         a = certified.solve(dict(resources), budget_per_iteration=budget)

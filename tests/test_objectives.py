@@ -23,6 +23,11 @@ def test_constraint_validation():
         Constraint(min_throughput_iters_per_s=-1)
     with pytest.raises(ValueError):
         Constraint(max_gpus=0)
+    # NaN compares False against everything, so a NaN cap would never bind.
+    with pytest.raises(ValueError):
+        Constraint(max_cost_per_iteration_usd=float("nan"))
+    with pytest.raises(ValueError):
+        Constraint(min_throughput_iters_per_s=float("nan"))
     assert Constraint().is_unconstrained
     assert not Constraint(max_gpus=8).is_unconstrained
 

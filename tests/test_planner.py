@@ -349,11 +349,6 @@ def test_layer_cache_and_batched_threading_do_not_change_the_chosen_plan(
                                enable_straggler_bound=False),
                 DPSolverConfig(engine_min_states=0,
                                engine_seeded_straggler=False),
-                DPSolverConfig(engine_min_states=0, shared_backward=False),
-                DPSolverConfig(engine_min_states=0,
-                               shared_backward_argmin=False),
-                DPSolverConfig(engine_min_states=0,
-                               shared_backward_density=1.0),  # force CSR
                 DPSolverConfig(engine_min_states=0,
                                batched_layer_resolve=False),
                 DPSolverConfig(engine_min_states=0, fused_combine=False),
@@ -539,8 +534,8 @@ def test_fused_combine_preserves_plans_when_forced(opt_env, opt_job,
                                                    monkeypatch):
     """Force the fused combine onto every layer (dispatch threshold 1,
     engine always on): plans, evaluations, and node counts are
-    bit-identical to the reference chain on both the dense and the CSR
-    argmin routes, and the fused kernel demonstrably runs."""
+    bit-identical to the reference chain, and the fused kernel
+    demonstrably runs."""
     import repro.core.resource_state as rs
     from repro.core.dp_solver import DPSolverConfig
 
@@ -551,10 +546,6 @@ def test_fused_combine_preserves_plans_when_forced(opt_env, opt_job,
         for dp_config in (
                 DPSolverConfig(engine_min_states=0, fused_combine=False),
                 DPSolverConfig(engine_min_states=0),
-                DPSolverConfig(engine_min_states=0,
-                               shared_backward_argmin=False),  # dense route
-                DPSolverConfig(engine_min_states=0,
-                               shared_backward_density=1.0),  # CSR route
         ):
             result = SailorPlanner(opt_env, config=PlannerConfig(
                 dp_config=dp_config)).plan(opt_job, mixed_topology, objective)

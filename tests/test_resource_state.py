@@ -262,84 +262,8 @@ def test_forward_row_cols_matches_local_computation():
     assert forward.row_cols(0, 0, last=False)[0] is cols  # cached
 
 
-def test_shared_backward_is_bitwise_identical(opt_env, opt_job):
-    """run_backward with the shared child gathers must produce bitwise the
-    same layer tables as the per-candidate computation."""
-    solver_a = build_solver(opt_env, opt_job, pp=2, dp=2)
-    solver_a.engine_min_states = 0
-    solver_b = build_solver(opt_env, opt_job, pp=2, dp=2)
-    solver_b.config = DPSolverConfig(engine_min_states=0,
-                                     shared_backward=False)
-    solver_b.engine_min_states = 0
-    resources = {("us-central1-a", "a2-highgpu-4g"): 4,
-                 ("us-central1-a", "n1-standard-v100-4"): 4}
-    assert solver_a.solve(dict(resources)) is not None
-    assert solver_b.solve(dict(resources)) is not None
-    shared, local = solver_a._engine, solver_b._engine
-    assert shared is not None and local is not None
-    for name in ("arg", "value", "time_value", "sum_t", "max_t", "sync_t",
-                 "rate"):
-        for a, b in zip(getattr(shared, name), getattr(local, name)):
-            assert np.array_equal(a, b)
-
-
-def test_shared_argmin_kernel_matches_dense_over_random_pools(opt_env,
-                                                              opt_job):
-    """Randomized equivalence sweep for the CSR segmented-argmin backward
-    kernel (``shared_backward_argmin``): over seeded random pools x
-    objectives x (pp, dp) shapes, the shared kernel must reproduce the
-    dense per-candidate reduction bit-for-bit -- same scores, same
-    first-min tie-breaks (``arg``), same infeasible-row normal form --
-    and the two solvers must return identical solutions."""
-    import random
-
-    from repro.core.objectives import OptimizationGoal
-
-    rng = random.Random(20260808)
-    compared = 0
-    for _ in range(12):
-        resources = {("us-central1-a", "a2-highgpu-4g"): rng.randint(0, 4),
-                     ("us-central1-a", "n1-standard-v100-4"): rng.randint(0, 4)}
-        resources = {key: count for key, count in resources.items() if count}
-        if not resources:
-            continue
-        pp = rng.choice([1, 2, 3])
-        dp = rng.choice([1, 2, 4])
-        goal = rng.choice([OptimizationGoal.MAX_THROUGHPUT,
-                           OptimizationGoal.MIN_COST])
-
-        shared = build_solver(opt_env, opt_job, pp=pp, dp=dp, goal=goal)
-        # density 1.0 forces the CSR kernel on every layer, dense or not --
-        # the default dispatch would route these small dense pools to the
-        # broadcast path and the sweep would compare dense against dense.
-        shared.config = DPSolverConfig(engine_min_states=0,
-                                       shared_backward_density=1.0)
-        shared.engine_min_states = 0
-        dense = build_solver(opt_env, opt_job, pp=pp, dp=dp, goal=goal)
-        dense.config = DPSolverConfig(engine_min_states=0,
-                                      shared_backward_argmin=False)
-        dense.engine_min_states = 0
-
-        a = shared.solve(dict(resources))
-        b = dense.solve(dict(resources))
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert [x.placements for x in a.assignments] == \
-                [x.placements for x in b.assignments]
-        if shared._engine is None or dense._engine is None:
-            continue
-        for name in ("arg", "value", "time_value", "sum_t", "max_t",
-                     "sync_t", "rate"):
-            for sa, da in zip(getattr(shared._engine, name),
-                              getattr(dense._engine, name)):
-                assert np.array_equal(sa, da)
-        compared += 1
-    assert compared >= 6
-
-
-def _tie_break_engine(shared_argmin: bool) -> ResourceStateEngine:
-    """One-stage engine whose two cheapest combos tie exactly, over a
-    shared ForwardLayers (so the CSR path exercises its skeleton cache)."""
+def _tie_break_engine(minimize_cost: bool) -> ResourceStateEngine:
+    """One-stage engine whose two cheapest combos tie exactly."""
     root_pairs = ((("z", "a"), 3), (("z", "b"), 3))
     codec = ResourceStateCodec(root_pairs)
     entries = []
@@ -358,44 +282,23 @@ def _tie_break_engine(shared_argmin: bool) -> ResourceStateEngine:
     root = codec.encode(root_pairs)
     forward = compute_forward_layers([table.req], [root.copy()], [False], 16,
                                      root)
-    # Density 1.0 forces the CSR route regardless of the layer's density
-    # (the dispatch would send this dense toy layer down the broadcast
-    # path and the kernel under test would never run).
     return ResourceStateEngine(codec, [table], forward,
-                               num_microbatches=2, minimize_cost=False,
-                               shared_argmin=shared_argmin,
-                               shared_argmin_max_density=1.0)
+                               num_microbatches=2,
+                               minimize_cost=minimize_cost)
 
 
-def test_shared_argmin_tie_break_is_first_minimum():
-    """Deliberate score ties: both kernels must pick the first minimum in
-    master ranking order, bitwise-identically."""
-    engines = []
-    for shared in (True, False):
-        engine = _tie_break_engine(shared)
+def test_dense_argmin_tie_break_is_first_minimum():
+    """Deliberate exact score ties: the backward kernel must pick the first
+    minimum in master ranking order, under both objectives."""
+    for minimize_cost in (False, True):
+        engine = _tie_break_engine(minimize_cost)
         engine.run_backward()
-        engines.append(engine)
-    shared, dense = engines
-    for name in ("arg", "value", "time_value", "sum_t", "max_t", "sync_t",
-                 "rate"):
-        assert np.array_equal(getattr(shared, name)[0],
-                              getattr(dense, name)[0])
-    root_row = 0
-    assert shared.arg[0][root_row] == 0  # first of the tied pair
-
-
-def test_shared_argmin_skeleton_is_cached_on_forward_layers():
-    """Two backward passes over one ForwardLayers share the CSR skeleton:
-    the second engine's pass must count a reuse hit per layer."""
-    first = _tie_break_engine(True)
-    first.run_backward()
-    assert first.shared_skeleton_hits == 0  # built the skeleton
-    second = ResourceStateEngine(first.codec, first.tables, first.forward,
-                                 num_microbatches=4, minimize_cost=True,
-                                 shared_argmin=True,
-                                 shared_argmin_max_density=1.0)
-    second.run_backward()
-    assert second.shared_skeleton_hits == 1  # one stage, reused
+        root_row = 0
+        assert engine.arg[0][root_row] == 0  # first of the tied pair
+        time = 1.0 + 1.0 * 1.0 + 0.25
+        assert engine.time_value[0][root_row] == time
+        assert engine.value[0][root_row] == (3.0 * time if minimize_cost
+                                             else time)
 
 
 def test_engine_budget_tables_match_scalar_probes(opt_env, opt_job):

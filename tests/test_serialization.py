@@ -136,7 +136,8 @@ def test_new_enumeration_counters_roundtrip(opt_env, opt_job,
 
 
 def test_result_without_search_stats_decodes_to_zeroes():
-    """Documents written before the search_stats block decode cleanly."""
+    """Documents written before the search_stats block, or carrying a
+    counter that has since been retired, decode cleanly."""
     import json
     from repro.core.serialization import result_from_dict
 
@@ -145,6 +146,13 @@ def test_result_without_search_stats_decodes_to_zeroes():
     restored = result_from_dict(json.loads(json.dumps(data)))
     assert restored.search_stats.nodes_explored == 0
     assert restored.search_stats.memo_hits == 0
+
+    retired = dict(data, search_stats={"nodes_explored": 7,
+                                       "backward_shared_hits": 3})
+    restored = result_from_dict(json.loads(json.dumps(retired)))
+    assert restored.search_stats.nodes_explored == 7
+    assert restored.search_stats.memo_hits == 0
+    assert "backward_shared_hits" not in restored.search_stats.as_dict()
 
 
 def test_empty_result_roundtrip():
